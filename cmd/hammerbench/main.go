@@ -96,7 +96,7 @@ func run(ctx context.Context, experiment string, horizon uint64, csv bool, obsFl
 			err = fmt.Errorf("close observability: %w", cerr)
 		}
 	}()
-	cleanup, err := robust.Apply(session.Recorder)
+	ctx, cleanup, err := robust.Apply(ctx, session.Recorder)
 	if err != nil {
 		return err
 	}

@@ -155,7 +155,7 @@ func run(ctx context.Context, defenseName, attackName, profileName string, horiz
 			err = fmt.Errorf("close observability: %w", cerr)
 		}
 	}()
-	cleanup, err := robust.Apply(session.Recorder)
+	ctx, cleanup, err := robust.Apply(ctx, session.Recorder)
 	if err != nil {
 		return err
 	}

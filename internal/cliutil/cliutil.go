@@ -66,20 +66,32 @@ func (f *RobustFlags) Register() {
 	flag.DurationVar(&f.SlowCell, "slow-cell", time.Minute, "warn on stderr when a grid cell runs longer than this without finishing (0 = off)")
 }
 
-// Apply installs the flags' policy, cell-event observer, and checkpoint
-// in the harness. The returned cleanup restores the package-wide state
-// and closes the checkpoint; its error (e.g. a checkpoint write that
-// failed mid-run) must reach the CLI exit code — a silently truncated
-// checkpoint would resume wrong.
-func (f *RobustFlags) Apply(rec *obs.Recorder) (cleanup func() error, err error) {
+// Apply installs the flags' policy and cell-event observer in the
+// harness and opens the -resume checkpoint, returning ctx carrying it
+// (harness.WithCheckpoint) for the run to thread into its grids. The
+// returned cleanup restores the package-wide state and closes the
+// checkpoint; its error (e.g. a checkpoint write that failed mid-run)
+// must reach the CLI exit code — a silently truncated checkpoint would
+// resume wrong.
+func (f *RobustFlags) Apply(ctx context.Context, rec *obs.Recorder) (context.Context, func() error, error) {
 	if f.Retries < 0 {
-		return nil, fmt.Errorf("retries: must be >= 0 (got %d)", f.Retries)
+		return nil, nil, fmt.Errorf("retries: must be >= 0 (got %d)", f.Retries)
 	}
 	if f.Backoff < 0 {
-		return nil, fmt.Errorf("retry-backoff: must be >= 0 (got %v)", f.Backoff)
+		return nil, nil, fmt.Errorf("retry-backoff: must be >= 0 (got %v)", f.Backoff)
 	}
 	if f.CellTimeout < 0 {
-		return nil, fmt.Errorf("cell-timeout: must be >= 0 (got %v)", f.CellTimeout)
+		return nil, nil, fmt.Errorf("cell-timeout: must be >= 0 (got %v)", f.CellTimeout)
+	}
+	var ck *harness.Checkpoint
+	if f.Resume != "" {
+		var err error
+		if ck, err = harness.OpenCheckpoint(f.Resume); err != nil {
+			return nil, nil, fmt.Errorf("resume: %w", err)
+		}
+		if n := ck.Loaded(); n > 0 {
+			fmt.Fprintf(os.Stderr, "resume: restored %d completed cells from %s\n", n, f.Resume)
+		}
 	}
 	harness.SetPolicy(harness.Policy{
 		FailSoft:    f.FailSoft,
@@ -94,11 +106,9 @@ func (f *RobustFlags) Apply(rec *obs.Recorder) (cleanup func() error, err error)
 	harness.SetLogger(slog.New(slog.NewTextHandler(os.Stderr,
 		&slog.HandlerOptions{Level: slog.LevelWarn})))
 	harness.SetSlowCellWarn(f.SlowCell)
-	var ck *harness.Checkpoint
-	restore := func() error {
+	cleanup := func() error {
 		harness.SetPolicy(harness.Policy{})
 		harness.SetGridObserver(nil)
-		harness.SetCheckpoint(nil)
 		core.SetChecking(false)
 		harness.SetLogger(nil)
 		harness.SetSlowCellWarn(time.Minute)
@@ -111,18 +121,7 @@ func (f *RobustFlags) Apply(rec *obs.Recorder) (cleanup func() error, err error)
 		}
 		return nil
 	}
-	if f.Resume != "" {
-		ck, err = harness.OpenCheckpoint(f.Resume)
-		if err != nil {
-			restore()
-			return nil, fmt.Errorf("resume: %w", err)
-		}
-		harness.SetCheckpoint(ck)
-		if n := ck.Loaded(); n > 0 {
-			fmt.Fprintf(os.Stderr, "resume: restored %d completed cells from %s\n", n, f.Resume)
-		}
-	}
-	return restore, nil
+	return harness.WithCheckpoint(ctx, ck), cleanup, nil
 }
 
 // ShutdownContext returns a context cancelled on SIGINT/SIGTERM, for

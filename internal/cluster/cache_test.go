@@ -1,11 +1,16 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"hammertime/internal/sim"
 )
 
 func raw(s string) json.RawMessage { return json.RawMessage(s) }
@@ -147,5 +152,90 @@ func TestCacheSpillTornTailTruncated(t *testing.T) {
 	defer c2.Close()
 	if _, ok := c2.Get("new"); !ok {
 		t.Fatal("appended record lost after torn-tail truncate")
+	}
+}
+
+// writeGoldenSpill performs the puts testdata/spill.jsonl was written
+// from, in order; the repeated key is not written twice.
+func writeGoldenSpill(c *ResultCache) {
+	c.Put("049934eb27ea3468", raw(`{"flips":3,"rate":0.25}`))
+	c.Put("9f86d081deadbeef", raw(`[1,2,3]`))
+	c.Put("049934eb27ea3468", raw(`{"flips":9}`))
+	c.Put("0123456789abcdef", raw(`"ERR(timeout)"`))
+}
+
+// TestCacheSpillGoldenBytes pins the spill format: testdata/spill.jsonl
+// holds the exact bytes the spill writer produced before it moved onto
+// internal/journal. Today's writer must produce the same bytes, and
+// today's loader must serve that file — the first record of a key wins.
+func TestCacheSpillGoldenBytes(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "spill.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	written := filepath.Join(dir, "written.jsonl")
+	c := NewResultCache(0)
+	if err := c.OpenSpill(written); err != nil {
+		t.Fatal(err)
+	}
+	writeGoldenSpill(c)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(written); !bytes.Equal(got, golden) {
+		t.Fatalf("spill bytes changed:\n%s\nwant\n%s", got, golden)
+	}
+
+	// A later duplicate of a key (two coordinators sharing a file) must
+	// not shadow the first record.
+	loaded := filepath.Join(dir, "golden.jsonl")
+	dup := append(append([]byte{}, golden...), `{"key":"049934eb27ea3468","result":{"flips":9}}`+"\n"...)
+	if err := os.WriteFile(loaded, dup, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c2 := NewResultCache(0)
+	if err := c2.OpenSpill(loaded); err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	for key, want := range map[string]string{
+		"049934eb27ea3468": `{"flips":3,"rate":0.25}`,
+		"9f86d081deadbeef": `[1,2,3]`,
+		"0123456789abcdef": `"ERR(timeout)"`,
+	} {
+		if got, ok := c2.Get(key); !ok || string(got) != want {
+			t.Fatalf("key %s served %s (ok=%v), want %s", key, got, ok, want)
+		}
+	}
+}
+
+// TestSpillErrorGauge: a spill that lost an append degrades the cache to
+// memory-only; /metrics shows it as cluster.cache.spill_error.
+func TestSpillErrorGauge(t *testing.T) {
+	c := NewResultCache(0)
+	if err := c.OpenSpill(filepath.Join(t.TempDir(), "cells.jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	d := NewDispatcher(DispatcherConfig{Registry: NewRegistry(time.Minute), Cache: c})
+	gauge := func() float64 {
+		var st sim.Stats
+		d.MergeInto(&st)
+		return st.Gauge("cluster.cache.spill_error")
+	}
+	if g := gauge(); g != 0 {
+		t.Fatalf("healthy spill gauge = %v, want 0", g)
+	}
+	c.spill.Fail(errors.New("disk full"))
+	c.Put("k", raw(`1`))
+	if c.SpillErr() == nil {
+		t.Fatal("spill failure not reported by SpillErr")
+	}
+	if g := gauge(); g != 1 {
+		t.Fatalf("failed spill gauge = %v, want 1", g)
+	}
+	if got, ok := c.Get("k"); !ok || string(got) != `1` {
+		t.Fatal("cache stopped serving from memory after a spill failure")
 	}
 }

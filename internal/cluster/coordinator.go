@@ -171,6 +171,11 @@ func (d *Dispatcher) MergeInto(dst *sim.Stats) {
 	dst.Add("cluster.workers.evicted", d.reg.Evicted())
 	dst.SetGauge("cluster.cache.bytes", float64(d.cache.Bytes()))
 	dst.SetGauge("cluster.cache.entries", float64(d.cache.Len()))
+	spillErr := 0.0 // 1 once a spill append failed: the cache is memory-only
+	if d.cache.SpillErr() != nil {
+		spillErr = 1
+	}
+	dst.SetGauge("cluster.cache.spill_error", spillErr)
 	dst.SetGauge("cluster.workers.live", float64(len(d.reg.Live())))
 	dst.SetGauge("cluster.workers.quarantined", float64(d.reg.Quarantined()))
 	if d.cfg.Chaos != nil {
@@ -599,28 +604,12 @@ func (j *jobDelegate) dispatchRetry(ctx context.Context, w Worker, spec harness.
 		d.count("cluster.rpc.retries", 1)
 		d.log.Info("batch RPC retrying", "grid", spec.ID, "worker", w.Name,
 			"attempt", attempt, "err", err)
-		if !sleepBackoff(ctx, harness.Backoff(d.cfg.RetryBase, key, attempt)) {
+		if !harness.SleepCtx(ctx, harness.Backoff(d.cfg.RetryBase, key, attempt)) {
 			break
 		}
 	}
 	d.reg.ReportFailure(w.Name)
 	return nil, lastErr
-}
-
-// sleepBackoff sleeps d, aborting early on cancellation; reports whether
-// the retry should proceed.
-func sleepBackoff(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // statusError is a non-2xx worker reply, kept typed so the retry loop

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"hammertime/internal/harness"
 	"hammertime/internal/sim"
 )
 
@@ -292,12 +293,12 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	if d.delay && t.spec.Delay > 0 {
 		t.record(d.call, req, "delayed", t.spec.Delay.String())
-		sleepCtx(req, t.spec.Delay)
+		harness.SleepCtx(req.Context(), t.spec.Delay)
 	}
 	for _, sp := range t.spec.Spikes {
 		if d.call >= sp.From && d.call < sp.To {
 			t.record(d.call, req, "spiked", sp.Delay.String())
-			sleepCtx(req, sp.Delay)
+			harness.SleepCtx(req.Context(), sp.Delay)
 		}
 	}
 	if d.dup && req.GetBody != nil {
@@ -339,16 +340,6 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	resp.Body = io.NopCloser(bytes.NewReader(body))
 	return resp, nil
-}
-
-// sleepCtx sleeps d or until the request's context ends.
-func sleepCtx(req *http.Request, d time.Duration) {
-	tm := time.NewTimer(d)
-	defer tm.Stop()
-	select {
-	case <-tm.C:
-	case <-req.Context().Done():
-	}
 }
 
 // Counters returns a copy of the lifetime fault counters, keyed by fault

@@ -1,17 +1,14 @@
 package harness
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"io"
-	"os"
 	"sync"
-	"sync/atomic"
 
 	"hammertime/internal/core"
+	"hammertime/internal/journal"
 	"hammertime/internal/sim"
 )
 
@@ -22,17 +19,16 @@ import (
 //
 // key is an FNV-64a hash of (grid ID, grid config, DeterminismEpoch,
 // machine seed, cell index): a run with a different horizon, sweep, seed
-// or RNG epoch never restores a stale cell. Records are appended and
-// flushed as cells complete, so a SIGKILL loses at most the in-flight
-// cells; the loader tolerates (and trims) a torn final line. Results are
-// exact JSON round trips of the cell values, so a resumed run's tables
-// are byte-identical to an uninterrupted run's.
+// or RNG epoch never restores a stale cell. The file is an
+// internal/journal: records are appended as cells complete, so a SIGKILL
+// loses at most the in-flight cells, and a torn tail is trimmed at open.
+// Results are exact JSON round trips of the cell values, so a resumed
+// run's tables are byte-identical to an uninterrupted run's.
 type Checkpoint struct {
+	j      *journal.Journal
 	mu     sync.Mutex
-	f      *os.File
 	done   map[string]json.RawMessage
-	err    error // sticky: first write/flush failure
-	loaded int
+	loaded int // fixed at open
 	added  int
 }
 
@@ -46,52 +42,29 @@ type ckRecord struct {
 }
 
 // OpenCheckpoint opens (creating if needed) a checkpoint file, loads its
-// valid records, and positions it for appending. A torn or corrupt tail
-// — the signature of a killed run — is truncated away so subsequent
-// appends produce a clean file.
+// valid records (the last record of a key wins), and positions it for
+// appending. A torn or corrupt tail — the signature of a killed run — is
+// truncated away so subsequent appends produce a clean file.
 func OpenCheckpoint(path string) (*Checkpoint, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	ck := &Checkpoint{done: make(map[string]json.RawMessage)}
+	j, err := journal.Open(path, func(line []byte, _ int64) bool {
+		var rec ckRecord
+		if json.Unmarshal(line, &rec) != nil || rec.Key == "" {
+			return false
+		}
+		ck.done[rec.Key] = rec.Result
+		ck.loaded++
+		return true
+	})
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	ck := &Checkpoint{f: f, done: make(map[string]json.RawMessage)}
-	r := bufio.NewReader(f)
-	var offset int64
-	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			// EOF with a leftover fragment means a write died mid-line
-			// (a record's line and '\n' are written in one call): the
-			// fragment is debris of the interrupted run, trimmed below.
-			break
-		}
-		var rec ckRecord
-		if json.Unmarshal([]byte(line), &rec) != nil || rec.Key == "" {
-			// First corrupt line: stop loading and truncate it away so
-			// appends produce a clean file.
-			break
-		}
-		offset += int64(len(line))
-		ck.done[rec.Key] = rec.Result
-		ck.loaded++
-	}
-	if err := f.Truncate(offset); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("checkpoint: trim torn tail: %w", err)
-	}
-	if _, err := f.Seek(offset, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
+	ck.j = j
 	return ck, nil
 }
 
 // Loaded returns how many completed cells the file held at open.
-func (c *Checkpoint) Loaded() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.loaded
-}
+func (c *Checkpoint) Loaded() int { return c.loaded }
 
 // Added returns how many cells this run appended.
 func (c *Checkpoint) Added() int {
@@ -100,28 +73,13 @@ func (c *Checkpoint) Added() int {
 	return c.added
 }
 
-// Err returns the first write error encountered while recording cells.
-// A checkpoint that cannot be written must fail the run loudly — a
+// Err returns the first error encountered while recording cells. A
+// checkpoint that cannot be written must fail the run loudly — a
 // silently truncated checkpoint would resume wrong.
-func (c *Checkpoint) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
+func (c *Checkpoint) Err() error { return c.j.Err() }
 
 // Close closes the file, reporting the sticky write error first.
-func (c *Checkpoint) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	first := c.err
-	if c.f != nil {
-		if err := c.f.Close(); err != nil && first == nil {
-			first = err
-		}
-		c.f = nil
-	}
-	return first
-}
+func (c *Checkpoint) Close() error { return c.j.Close() }
 
 // lookup returns the recorded result for key, if any.
 func (c *Checkpoint) lookup(key string) (json.RawMessage, bool) {
@@ -136,48 +94,29 @@ func (c *Checkpoint) lookup(key string) (json.RawMessage, bool) {
 // current run stays consistent.
 func (c *Checkpoint) record(grid string, cell int, key string, result any) {
 	raw, err := json.Marshal(result)
+	var line []byte
+	if err == nil {
+		line, err = json.Marshal(ckRecord{Key: key, Grid: grid, Cell: cell, Result: raw})
+	}
 	if err != nil {
-		c.fail(fmt.Errorf("checkpoint: %s cell %d: %w", grid, cell, err))
+		c.j.Fail(fmt.Errorf("checkpoint: %s cell %d: %w", grid, cell, err))
 		return
 	}
-	line, err := json.Marshal(ckRecord{Key: key, Grid: grid, Cell: cell, Result: raw})
-	if err != nil {
-		c.fail(fmt.Errorf("checkpoint: %s cell %d: %w", grid, cell, err))
-		return
-	}
-	line = append(line, '\n')
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.done[key] = raw
 	c.added++
-	if c.f == nil || c.err != nil {
-		return
-	}
-	if _, err := c.f.Write(line); err != nil {
-		c.err = fmt.Errorf("checkpoint: %s cell %d: %w", grid, cell, err)
-	}
+	c.mu.Unlock()
+	c.j.Append(line)
 }
 
-func (c *Checkpoint) fail(err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err == nil {
-		c.err = err
-	}
-}
-
-// activeCk holds the checkpoint consulted by runGrid (nil = none).
-var activeCk atomic.Pointer[Checkpoint]
-
-// ckContextKey carries a per-run checkpoint through a context.
+// ckContextKey carries a run's checkpoint through a context.
 type ckContextKey struct{}
 
 // WithCheckpoint returns ctx carrying a checkpoint that identified grids
-// consult and append to, taking precedence over the package-wide one
-// installed with SetCheckpoint. The package-wide slot is per-process —
-// right for a CLI run, wrong for a daemon simulating many jobs at once —
-// so hammerd threads each job's own checkpoint here and concurrent jobs
-// never share (or clobber) resume state. A nil checkpoint returns ctx
+// consult and append to. The checkpoint is scoped to the run, never to
+// the process: hammerd threads each job's own checkpoint here so
+// concurrent jobs never share (or clobber) resume state, and the CLIs
+// thread their -resume file the same way. A nil checkpoint returns ctx
 // unchanged.
 func WithCheckpoint(ctx context.Context, ck *Checkpoint) context.Context {
 	if ck == nil {
@@ -191,19 +130,6 @@ func checkpointFrom(ctx context.Context) *Checkpoint {
 	ck, _ := ctx.Value(ckContextKey{}).(*Checkpoint)
 	return ck
 }
-
-// SetCheckpoint installs (or, with nil, removes) the checkpoint that
-// identified grids consult and append to. cmd/hammerbench wires its
-// -resume flag here.
-func SetCheckpoint(ck *Checkpoint) {
-	if ck == nil {
-		activeCk.Store(nil)
-		return
-	}
-	activeCk.Store(ck)
-}
-
-func activeCheckpoint() *Checkpoint { return activeCk.Load() }
 
 // CellKey hashes everything that determines a cell's result — the FNV-64a
 // of (grid ID, grid config, DeterminismEpoch, machine seed, cell index),

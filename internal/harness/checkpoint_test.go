@@ -20,13 +20,12 @@ func TestCheckpointResumeSkipsCompletedCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetCheckpoint(ck)
 	var calls atomic.Int64
 	fn := func(_ context.Context, i int) (int, error) {
 		calls.Add(1)
 		return 3 * i, nil
 	}
-	run := runGrid(context.Background(), spec, 5, fn)
+	run := runGrid(WithCheckpoint(context.Background(), ck), spec, 5, fn)
 	if err := run.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -45,9 +44,9 @@ func TestCheckpointResumeSkipsCompletedCells(t *testing.T) {
 	if ck2.Loaded() != 5 {
 		t.Fatalf("reopened checkpoint holds %d cells, want 5", ck2.Loaded())
 	}
-	SetCheckpoint(ck2)
+	ctx2 := WithCheckpoint(context.Background(), ck2)
 	calls.Store(0)
-	again := runGrid(context.Background(), spec, 5, fn)
+	again := runGrid(ctx2, spec, 5, fn)
 	if err := again.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +60,7 @@ func TestCheckpointResumeSkipsCompletedCells(t *testing.T) {
 	}
 
 	// A different config must never restore the stale cells.
-	other := runGrid(context.Background(), GridSpec{ID: "t-ck", Config: "c2", Workers: 1}, 5, fn)
+	other := runGrid(ctx2, GridSpec{ID: "t-ck", Config: "c2", Workers: 1}, 5, fn)
 	if err := other.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +70,7 @@ func TestCheckpointResumeSkipsCompletedCells(t *testing.T) {
 
 	// Anonymous grids (empty ID) never touch the checkpoint.
 	calls.Store(0)
-	anon := runGrid(context.Background(), GridSpec{Workers: 1}, 3, fn)
+	anon := runGrid(ctx2, GridSpec{Workers: 1}, 3, fn)
 	if err := anon.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -81,22 +80,13 @@ func TestCheckpointResumeSkipsCompletedCells(t *testing.T) {
 }
 
 // TestContextCheckpointScoped pins the per-job checkpoint path used by
-// hammerd's durable job store: a checkpoint carried by the context is
-// the one a grid consults and appends to, taking precedence over the
-// process-wide SetCheckpoint slot — so concurrent daemon jobs each
-// resume from their own file instead of sharing (and clobbering) one
-// global checkpoint.
+// hammerd's durable job store: the checkpoint carried by the context is
+// the one a grid consults and appends to, so concurrent daemon jobs each
+// resume from their own file.
 func TestContextCheckpointScoped(t *testing.T) {
 	resetRobustness(t)
 	dir := t.TempDir()
 	spec := GridSpec{ID: "t-ctxck", Config: "c1", Workers: 1}
-
-	global, err := OpenCheckpoint(filepath.Join(dir, "global.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer global.Close()
-	SetCheckpoint(global)
 
 	jobPath := filepath.Join(dir, "job-1.ckpt")
 	jobCk, err := OpenCheckpoint(jobPath)
@@ -115,15 +105,12 @@ func TestContextCheckpointScoped(t *testing.T) {
 	if jobCk.Added() != 4 {
 		t.Fatalf("context checkpoint recorded %d cells, want 4", jobCk.Added())
 	}
-	if global.Added() != 0 {
-		t.Fatalf("global checkpoint received %d cells despite the context override", global.Added())
-	}
 	if err := jobCk.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// A restarted job reopens its own file and resumes without
-	// recomputing; the global slot is still untouched.
+	// recomputing.
 	jobCk2, err := OpenCheckpoint(jobPath)
 	if err != nil {
 		t.Fatal(err)
@@ -137,10 +124,7 @@ func TestContextCheckpointScoped(t *testing.T) {
 	if again.Restored != 4 || calls.Load() != 0 {
 		t.Fatalf("resume via context: restored=%d calls=%d, want 4 and 0", again.Restored, calls.Load())
 	}
-	if global.Added() != 0 {
-		t.Fatalf("global checkpoint gained %d cells on resume", global.Added())
-	}
-	// WithCheckpoint(nil) is a no-op: the global slot applies again.
+	// WithCheckpoint(nil) is a no-op.
 	if noop := WithCheckpoint(context.Background(), nil); checkpointFrom(noop) != nil {
 		t.Fatal("nil checkpoint must not be carried")
 	}
@@ -155,8 +139,7 @@ func TestCheckpointTrimsTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetCheckpoint(ck)
-	if err := runGrid(context.Background(), spec, 4, func(_ context.Context, i int) (int, error) { return i, nil }).Err(); err != nil {
+	if err := runGrid(WithCheckpoint(context.Background(), ck), spec, 4, func(_ context.Context, i int) (int, error) { return i, nil }).Err(); err != nil {
 		t.Fatal(err)
 	}
 	if err := ck.Close(); err != nil {
@@ -242,9 +225,8 @@ func TestE1ResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetCheckpoint(ck)
 	t.Setenv(failCellEnv, "e1:5:error")
-	if _, err := E1Matrix(context.Background(), defenses, 4, opts); err == nil {
+	if _, err := E1Matrix(WithCheckpoint(context.Background(), ck), defenses, 4, opts); err == nil {
 		t.Fatal("injected failure did not abort the strict run")
 	}
 	if err := ck.Close(); err != nil {
@@ -265,12 +247,77 @@ func TestE1ResumeByteIdentical(t *testing.T) {
 	if ck2.Loaded() != ck.Added() {
 		t.Fatalf("restart loaded %d cells, interrupted run wrote %d", ck2.Loaded(), ck.Added())
 	}
-	SetCheckpoint(ck2)
-	tb2, err := E1Matrix(context.Background(), defenses, 4, opts)
+	tb2, err := E1Matrix(WithCheckpoint(context.Background(), ck2), defenses, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := render(tb2); !bytes.Equal(got, want) {
 		t.Errorf("resumed table differs from uninterrupted run:\n--- resumed ---\n%s\n--- baseline ---\n%s", got, want)
+	}
+}
+
+// goldenCell is a cell result shaped like the experiments' own.
+type goldenCell struct {
+	Flips int     `json:"flips"`
+	Rate  float64 `json:"rate"`
+	Name  string  `json:"name"`
+}
+
+// writeGoldenCheckpoint records the cells testdata/checkpoint.jsonl was
+// written from, in order; key 9f86… is recorded twice.
+func writeGoldenCheckpoint(ck *Checkpoint) {
+	ck.record("e1", 0, "9f86d081deadbeef", goldenCell{Flips: 3, Rate: 0.25, Name: "trr"})
+	ck.record("e1", 1, "0123456789abcdef", goldenCell{Rate: 1e-9, Name: "para<n=4>"})
+	ck.record("e5", 7, "fedcba9876543210", []uint64{1, 2, 18446744073709551615})
+	ck.record("e1", 0, "9f86d081deadbeef", goldenCell{Flips: 4, Rate: 0.5, Name: "trr"})
+}
+
+// TestCheckpointGoldenBytes pins the on-disk checkpoint format:
+// testdata/checkpoint.jsonl holds the exact bytes the checkpoint writer
+// produced before it moved onto internal/journal. Today's writer must
+// produce the same bytes, and today's loader must restore that file
+// (last record of a key wins) without touching it.
+func TestCheckpointGoldenBytes(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	written := filepath.Join(dir, "written.jsonl")
+	ck, err := OpenCheckpoint(written)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeGoldenCheckpoint(ck)
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(written); !bytes.Equal(got, golden) {
+		t.Fatalf("checkpoint bytes changed:\n%s\nwant\n%s", got, golden)
+	}
+
+	loaded := filepath.Join(dir, "golden.jsonl")
+	if err := os.WriteFile(loaded, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck2, err := OpenCheckpoint(loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck2.Close()
+	if ck2.Loaded() != 4 {
+		t.Fatalf("loaded %d records, want 4", ck2.Loaded())
+	}
+	for key, want := range map[string]string{
+		"9f86d081deadbeef": `{"flips":4,"rate":0.5,"name":"trr"}`,
+		"0123456789abcdef": `{"flips":0,"rate":1e-9,"name":"para\u003cn=4\u003e"}`,
+		"fedcba9876543210": `[1,2,18446744073709551615]`,
+	} {
+		if raw, ok := ck2.lookup(key); !ok || string(raw) != want {
+			t.Fatalf("key %s restored %s (ok=%v), want %s", key, raw, ok, want)
+		}
+	}
+	if got, _ := os.ReadFile(loaded); !bytes.Equal(got, golden) {
+		t.Fatalf("loading rewrote an intact checkpoint:\n%s", got)
 	}
 }

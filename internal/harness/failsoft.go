@@ -326,9 +326,6 @@ func runGrid[T any](ctx context.Context, spec GridSpec, n int, fn func(ctx conte
 		}
 	}
 	ck := checkpointFrom(ctx)
-	if ck == nil {
-		ck = activeCheckpoint()
-	}
 	if spec.ID == "" {
 		ck = nil
 	}
@@ -519,7 +516,7 @@ func runCellGuarded[T any](ctx context.Context, grid string, i int, pol Policy, 
 				Kind: obs.KindCellRetry, Bank: -1, Row: -1, Domain: -1,
 				Line: uint64(i), Arg: uint64(a),
 			})
-			if pol.Backoff > 0 && !sleepBackoff(ctx, pol.Backoff, grid, i, a) {
+			if pol.Backoff > 0 && !SleepCtx(ctx, RetryBackoff(pol.Backoff, grid, i, a)) {
 				last.Cancelled = true
 				break
 			}
@@ -567,10 +564,10 @@ func Backoff(base time.Duration, key string, attempt int) time.Duration {
 	return half + time.Duration(rng.Float64()*float64(half))
 }
 
-// sleepBackoff sleeps the deterministic retry backoff, aborting early if
-// the grid is cancelled. Reports whether the retry should proceed.
-func sleepBackoff(ctx context.Context, base time.Duration, grid string, cell, attempt int) bool {
-	d := RetryBackoff(base, grid, cell, attempt)
+// SleepCtx sleeps d, returning early if ctx ends first. Reports whether
+// the caller should proceed: false once ctx is done. The one wait used
+// by every retry loop (grid cell retries, cluster batch RPC retries).
+func SleepCtx(ctx context.Context, d time.Duration) bool {
 	if d <= 0 {
 		return ctx.Err() == nil
 	}

@@ -13,14 +13,13 @@ import (
 	"hammertime/internal/report"
 )
 
-// resetRobustness restores the package-wide policy/observer/checkpoint
-// state after a test that installs any of them.
+// resetRobustness restores the package-wide policy/observer state after
+// a test that installs any of them.
 func resetRobustness(t *testing.T) {
 	t.Helper()
 	t.Cleanup(func() {
 		SetPolicy(Policy{})
 		SetGridObserver(nil)
-		SetCheckpoint(nil)
 	})
 }
 

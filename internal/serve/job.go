@@ -100,6 +100,7 @@ type Job struct {
 	finished  time.Time
 	table     string // rendered result table (StateDone)
 	errMsg    string // failure/cancellation cause (terminal non-done states)
+	ckErr     string // checkpoint open/write failure: the run is not resumable
 
 	// cancel tears down the job: pre-run it marks the job cancelled
 	// directly, mid-run it cancels the session's context and the
@@ -167,6 +168,10 @@ type JobView struct {
 	// so a client polling across the restart can tell its job was
 	// recovered rather than re-run from scratch.
 	Restarts int `json:"restarts,omitempty"`
+	// CheckpointError reports that the job's resume checkpoint could not
+	// be opened or lost a write, so a daemon crash would not resume the
+	// job from all of its completed cells.
+	CheckpointError string `json:"checkpoint_error,omitempty"`
 }
 
 // View snapshots the job under its lock.
@@ -174,14 +179,15 @@ func (j *Job) View() JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := JobView{
-		ID:         j.ID,
-		Experiment: j.Request.Experiment,
-		Horizon:    j.Request.Horizon,
-		State:      j.state,
-		Submitted:  j.submitted,
-		Error:      j.errMsg,
-		TraceID:    j.TraceID(),
-		Restarts:   j.Restarts,
+		ID:              j.ID,
+		Experiment:      j.Request.Experiment,
+		Horizon:         j.Request.Horizon,
+		State:           j.state,
+		Submitted:       j.submitted,
+		Error:           j.errMsg,
+		TraceID:         j.TraceID(),
+		Restarts:        j.Restarts,
+		CheckpointError: j.ckErr,
 	}
 	if !j.started.IsZero() {
 		t := j.started

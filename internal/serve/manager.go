@@ -317,6 +317,13 @@ func (m *Manager) Metrics() sim.StatsSnapshot {
 	m.stats.SetGauge("serve.queue.depth", float64(len(m.queue)))
 	m.stats.SetGauge("serve.queue.capacity", float64(m.cfg.QueueDepth))
 	m.stats.SetGauge("serve.jobs.running", float64(m.running.Load()))
+	if m.store != nil {
+		storeErr := 0.0 // 1 once a journal write failed: jobs may not survive a restart
+		if m.store.Err() != nil {
+			storeErr = 1
+		}
+		m.stats.SetGauge("serve.store.error", storeErr)
+	}
 	if m.cfg.ExtraMetrics == nil {
 		defer m.statsMu.Unlock()
 		return m.stats.Snapshot()
@@ -559,6 +566,19 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 	return job, nil
 }
 
+// checkpointFailed makes a durability downgrade visible: the job's
+// checkpoint could not be opened or lost a write, so the job is not
+// (fully) resumable. Its view carries the first such error.
+func (m *Manager) checkpointFailed(job *Job, err error) {
+	job.mu.Lock()
+	if job.ckErr == "" {
+		job.ckErr = err.Error()
+	}
+	job.mu.Unlock()
+	m.count("serve.jobs.checkpoint_errors")
+	m.log.Warn("job checkpoint failed, run will not be resumable", "job", job.ID, "err", err)
+}
+
 // removeCheckpoint drops a terminal job's checkpoint file: the job will
 // never resume, so its per-cell state is dead weight in the state dir.
 func (m *Manager) removeCheckpoint(job *Job) {
@@ -616,29 +636,16 @@ func (m *Manager) sweepRetentionLocked(force bool) {
 		return
 	}
 	m.lastSweep = now
-	type aged struct {
-		id       string
-		finished time.Time
-	}
-	var terminal []aged
+	var ids []string
+	var finished []time.Time
 	for id, j := range m.jobs {
-		v := j.View()
-		if !v.State.Terminal() || v.Finished == nil {
-			continue
+		if v := j.View(); v.State.Terminal() && v.Finished != nil {
+			ids = append(ids, id)
+			finished = append(finished, *v.Finished)
 		}
-		if m.cfg.RetentionAge > 0 && now.Sub(*v.Finished) > m.cfg.RetentionAge {
-			m.evictLocked(id)
-			continue
-		}
-		terminal = append(terminal, aged{id, *v.Finished})
 	}
-	if m.cfg.RetentionMax > 0 && len(terminal) > m.cfg.RetentionMax {
-		sort.Slice(terminal, func(a, b int) bool {
-			return terminal[a].finished.Before(terminal[b].finished)
-		})
-		for _, t := range terminal[:len(terminal)-m.cfg.RetentionMax] {
-			m.evictLocked(t.id)
-		}
+	for _, k := range retentionEvicts(finished, now, m.cfg.RetentionAge, m.cfg.RetentionMax) {
+		m.evictLocked(ids[k])
 	}
 }
 
@@ -745,12 +752,7 @@ func (m *Manager) runJob(session int, job *Job) {
 	// Chaos: pre-run latency and a mid-run cancellation timer.
 	if chaos := m.cfg.Chaos; chaos != nil {
 		if chaos.roll(chaos.LatencyP) {
-			t := time.NewTimer(chaos.Latency)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-			}
+			harness.SleepCtx(ctx, chaos.Latency)
 		}
 		if chaos.roll(chaos.CancelP) {
 			t := time.AfterFunc(chaos.Latency/2+time.Millisecond, func() {
@@ -760,7 +762,32 @@ func (m *Manager) runJob(session int, job *Job) {
 		}
 	}
 
+	// Durable jobs thread a per-job harness checkpoint: completed grid
+	// cells are journaled under the job's id, so if this process dies
+	// mid-run the restarted daemon resumes the job from its last
+	// completed cells instead of recomputing the grid. Opened before the
+	// job reports running, so no observer sees a running job without
+	// one. A checkpoint that cannot be opened degrades the job to a
+	// non-resumable run — visible in its view and on /metrics — rather
+	// than failing it.
+	var ck *harness.Checkpoint
+	if m.store != nil {
+		var err error
+		if ck, err = harness.OpenCheckpoint(m.store.CheckpointPath(job.ID)); err != nil {
+			m.checkpointFailed(job, err)
+		} else {
+			if job.Restarts > 0 && ck.Loaded() > 0 {
+				m.log.Info("job resuming from checkpoint",
+					"job", job.ID, "trace", job.TraceID(), "cells", ck.Loaded())
+			}
+			ctx = harness.WithCheckpoint(ctx, ck)
+		}
+	}
 	if !job.transition(StateRunning, "") {
+		if ck != nil {
+			ck.Close()
+			m.removeCheckpoint(job) // cancelled while queued: never resumes
+		}
 		return
 	}
 	// The queue wait is over; the run span nests under the job span (the
@@ -773,30 +800,6 @@ func (m *Manager) runJob(session int, job *Job) {
 	job.runSpan = runSpan
 	m.persist(job)
 
-	// Durable jobs thread a per-job harness checkpoint: completed grid
-	// cells are journaled under the job's id, so if this process dies
-	// mid-run the restarted daemon resumes the job from its last
-	// completed cells instead of recomputing the grid. Per-job (not the
-	// package-global SetCheckpoint slot) because concurrent sessions
-	// must not share resume state. A checkpoint that cannot be opened
-	// degrades to a non-resumable run rather than failing the job.
-	if m.store != nil {
-		if ck, err := harness.OpenCheckpoint(m.store.CheckpointPath(job.ID)); err != nil {
-			m.log.Warn("job checkpoint unavailable, run will not be resumable",
-				"job", job.ID, "err", err)
-		} else {
-			if job.Restarts > 0 && ck.Loaded() > 0 {
-				m.log.Info("job resuming from checkpoint",
-					"job", job.ID, "trace", job.TraceID(), "cells", ck.Loaded())
-			}
-			ctx = harness.WithCheckpoint(ctx, ck)
-			defer func() {
-				if cerr := ck.Close(); cerr != nil {
-					m.log.Warn("job checkpoint close failed", "job", job.ID, "err", cerr)
-				}
-			}()
-		}
-	}
 	m.log.Info("job running",
 		"job", job.ID, "trace", job.TraceID(), "session", session,
 		"experiment", job.Request.Experiment, "restarts", job.Restarts)
@@ -810,6 +813,13 @@ func (m *Manager) runJob(session int, job *Job) {
 	m.statsMu.Lock()
 	m.stats.Observe("serve.job.seconds", elapsed.Seconds())
 	m.statsMu.Unlock()
+	if ck != nil {
+		// A lost cell append is sticky: report it before the terminal
+		// snapshot goes out.
+		if cerr := ck.Close(); cerr != nil {
+			m.checkpointFailed(job, cerr)
+		}
+	}
 
 	switch {
 	case panicked:

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -10,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"hammertime/internal/journal"
 )
 
 // The persistent job store behind hammerd's -state-dir. The paper's
@@ -18,12 +19,11 @@ import (
 // simulator to recompute. The store makes the registry durable with the
 // same machinery the harness already trusts for cells:
 //
-//   - jobs.jsonl is an append-only journal of job snapshots. Every
-//     lifecycle transition (queued, running, done/failed/cancelled)
-//     appends one full JobRecord line, so the last record per job id is
-//     the job's state at the instant the daemon died. Appends are one
-//     write() each — a SIGKILL loses at most the in-flight line, and
-//     the loader trims a torn tail exactly like harness.OpenCheckpoint.
+//   - jobs.jsonl is an append-only journal (internal/journal) of job
+//     snapshots. Every lifecycle transition (queued, running,
+//     done/failed/cancelled) appends one full JobRecord line, so the
+//     last record per job id is the job's state at the instant the
+//     daemon died.
 //
 //   - checkpoints/<job-id>.ckpt is the job's harness checkpoint
 //     (FNV-keyed JSONL of completed grid cells), threaded into the
@@ -60,10 +60,9 @@ type JobRecord struct {
 // submit.
 type Store struct {
 	dir string
+	j   *journal.Journal // sticky: first append or compaction failure
 
 	mu    sync.Mutex
-	f     *os.File
-	err   error // sticky: first append failure
 	last  map[string]JobRecord
 	order []string // job ids by first appearance (journal order)
 }
@@ -75,104 +74,63 @@ const storeJournal = "jobs.jsonl"
 // journal, and compacts it to one line per job. The returned store's
 // Records reflect the previous process's registry at the moment it
 // died; a torn final line — the signature of a SIGKILL mid-append — is
-// dropped, and any line after the first corrupt one is ignored.
+// dropped, and any line after the first corrupt one is ignored: a
+// journal that lies once cannot be trusted to order what follows.
 func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "checkpoints"), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{dir: dir, last: make(map[string]JobRecord)}
-	path := filepath.Join(dir, storeJournal)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDONLY, 0o644)
+	j, err := journal.Open(filepath.Join(dir, storeJournal), func(line []byte, _ int64) bool {
+		var rec JobRecord
+		if json.Unmarshal(line, &rec) != nil || rec.ID == "" {
+			return false
+		}
+		s.remember(rec)
+		return true
+	})
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	r := bufio.NewReader(f)
-	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			// EOF with a fragment: a write died mid-line. The fragment is
-			// debris of the killed process; compaction below drops it.
-			break
-		}
-		var rec JobRecord
-		if json.Unmarshal([]byte(line), &rec) != nil || rec.ID == "" {
-			// First corrupt full line: stop replaying. Later lines may
-			// postdate the corruption, but a journal that lies once cannot
-			// be trusted to order what follows.
-			break
-		}
-		if _, seen := s.last[rec.ID]; !seen {
-			s.order = append(s.order, rec.ID)
-		}
-		s.last[rec.ID] = rec
-	}
-	if err := f.Close(); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if err := s.compact(path); err != nil {
+	s.j = j
+	if err := s.Compact(); err != nil {
+		j.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
-// compact rewrites the journal as one line per surviving job and
-// reopens it for appending. Write-to-temp + rename keeps a crash during
-// compaction from losing the old journal.
-func (s *Store) compact(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: compact: %w", err)
+// remember makes rec the job's current record. Caller holds s.mu (or
+// owns s exclusively, during replay).
+func (s *Store) remember(rec JobRecord) {
+	if _, seen := s.last[rec.ID]; !seen {
+		s.order = append(s.order, rec.ID)
 	}
-	w := bufio.NewWriter(f)
-	for _, id := range s.order {
-		line, err := json.Marshal(s.last[id])
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("store: compact %s: %w", id, err)
-		}
-		w.Write(line)
-		w.WriteByte('\n')
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	s.f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
+	s.last[rec.ID] = rec
 }
 
 // Compact rewrites the journal to the current in-memory view (one line
-// per surviving job) — the manager calls this after recovery applies
-// retention, so jobs evicted by Forget actually leave the disk instead
-// of being re-filtered at every restart forever.
+// per surviving job, journal order) — at open, and again after the
+// manager's recovery applies retention, so jobs evicted by Forget
+// actually leave the disk instead of being re-filtered at every restart
+// forever. A failed rewrite is sticky: later appends report it through
+// Err instead of vanishing.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f != nil {
-		if err := s.f.Close(); err != nil {
-			return fmt.Errorf("store: compact: %w", err)
+	lines := make([][]byte, 0, len(s.order))
+	for _, id := range s.order {
+		line, err := json.Marshal(s.last[id])
+		if err != nil {
+			return fmt.Errorf("store: compact %s: %w", id, err)
 		}
-		s.f = nil
+		lines = append(lines, line)
 	}
-	return s.compact(filepath.Join(s.dir, storeJournal))
+	if err := s.j.Rewrite(lines); err != nil {
+		return fmt.Errorf("store: compact: %w", err)
+	}
+	return nil
 }
-
-// Dir returns the state directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Len returns the number of distinct jobs in the journal.
 func (s *Store) Len() int {
@@ -201,22 +159,13 @@ func (s *Store) Records() []JobRecord {
 func (s *Store) Append(rec JobRecord) {
 	line, err := json.Marshal(rec)
 	if err != nil {
-		s.fail(fmt.Errorf("store: job %s: %w", rec.ID, err))
+		s.j.Fail(fmt.Errorf("store: job %s: %w", rec.ID, err))
 		return
 	}
-	line = append(line, '\n')
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, seen := s.last[rec.ID]; !seen {
-		s.order = append(s.order, rec.ID)
-	}
-	s.last[rec.ID] = rec
-	if s.f == nil || s.err != nil {
-		return
-	}
-	if _, err := s.f.Write(line); err != nil {
-		s.err = fmt.Errorf("store: job %s: %w", rec.ID, err)
-	}
+	s.remember(rec)
+	s.j.Append(line)
 }
 
 // Forget drops a job from the store's in-memory view so the next
@@ -238,35 +187,11 @@ func (s *Store) Forget(id string) {
 	}
 }
 
-// fail records the first append failure.
-func (s *Store) fail(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err == nil {
-		s.err = err
-	}
-}
+// Err returns the first append or compaction failure, if any.
+func (s *Store) Err() error { return s.j.Err() }
 
-// Err returns the first append failure, if any.
-func (s *Store) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-// Close closes the journal, reporting the sticky append error first.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	first := s.err
-	if s.f != nil {
-		if err := s.f.Close(); err != nil && first == nil {
-			first = err
-		}
-		s.f = nil
-	}
-	return first
-}
+// Close closes the journal, reporting the sticky failure first.
+func (s *Store) Close() error { return s.j.Close() }
 
 // CheckpointPath returns the per-job harness checkpoint path. Job ids
 // are daemon-minted ("job-N"), never client input, so they are safe as
@@ -299,36 +224,22 @@ func (s *Store) SweepCheckpoints(keep map[string]bool) {
 }
 
 // applyRetention filters terminal records the same way the manager's
-// in-memory sweep does — drop those finished before the age cutoff,
-// then the oldest beyond the count bound — so a restart does not
+// in-memory sweep does (retentionEvicts), so a restart does not
 // resurrect jobs the running daemon would already have evicted.
-// Non-terminal records (the orphans to resume) always survive. age or
-// max <= 0 disables that bound. Returns the surviving records in
-// journal order.
+// Non-terminal records (the orphans to resume) always survive. Returns
+// the surviving records in journal order.
 func applyRetention(recs []JobRecord, now time.Time, age time.Duration, max int) []JobRecord {
-	type aged struct {
-		idx      int
-		finished time.Time
-	}
-	var terminal []aged
-	drop := make(map[int]bool)
+	var terminal []int
+	var finished []time.Time
 	for i, rec := range recs {
-		if !rec.State.Terminal() {
-			continue
+		if rec.State.Terminal() {
+			terminal = append(terminal, i)
+			finished = append(finished, rec.Finished)
 		}
-		if age > 0 && now.Sub(rec.Finished) > age {
-			drop[i] = true
-			continue
-		}
-		terminal = append(terminal, aged{i, rec.Finished})
 	}
-	if max > 0 && len(terminal) > max {
-		sort.Slice(terminal, func(a, b int) bool {
-			return terminal[a].finished.Before(terminal[b].finished)
-		})
-		for _, t := range terminal[:len(terminal)-max] {
-			drop[t.idx] = true
-		}
+	drop := make(map[int]bool)
+	for _, k := range retentionEvicts(finished, now, age, max) {
+		drop[terminal[k]] = true
 	}
 	out := recs[:0:0]
 	for i, rec := range recs {
@@ -337,4 +248,24 @@ func applyRetention(recs []JobRecord, now time.Time, age time.Duration, max int)
 		}
 	}
 	return out
+}
+
+// retentionEvicts is the retention policy over terminal jobs' finish
+// times: evict everything finished more than age before now, then the
+// oldest-finished beyond max (age or max <= 0 disables that bound).
+// Returns the indices to evict.
+func retentionEvicts(finished []time.Time, now time.Time, age time.Duration, max int) []int {
+	var evict, keep []int
+	for i, f := range finished {
+		if age > 0 && now.Sub(f) > age {
+			evict = append(evict, i)
+		} else {
+			keep = append(keep, i)
+		}
+	}
+	if max > 0 && len(keep) > max {
+		sort.Slice(keep, func(a, b int) bool { return finished[keep[a]].Before(finished[keep[b]]) })
+		evict = append(evict, keep[:len(keep)-max]...)
+	}
+	return evict
 }

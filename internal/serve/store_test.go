@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -548,5 +549,178 @@ func TestJobsSortedNewestFirst(t *testing.T) {
 	}
 	if got := m.Jobs(2); len(got) != 2 || got[0].ID != "job-6" {
 		t.Fatalf("Jobs(2) = %+v, want the 2 newest led by job-6", got)
+	}
+}
+
+// writeGoldenJobs appends the snapshots testdata/jobs.jsonl was written
+// from, in order: job-1 through its lifecycle, job-2 resumed once and
+// still queued, job-3 failed.
+func writeGoldenJobs(st *Store) {
+	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
+	req1 := JobRequest{Experiment: "e1", Horizon: 400000}
+	trace1 := "4bf92f3577b34da6a3ce929d0e0e4736"
+	st.Append(JobRecord{ID: "job-1", Client: "c1", Request: req1, State: StateQueued, TraceID: trace1, Submitted: base})
+	st.Append(JobRecord{ID: "job-2", Client: "10.0.0.7", State: StateQueued, Restarts: 1, Submitted: base.Add(time.Second),
+		Request: JobRequest{Experiment: "e7", Timeout: Duration(30 * time.Second), Events: "bit-flip,trr-cure"}})
+	st.Append(JobRecord{ID: "job-1", Client: "c1", Request: req1, State: StateRunning, TraceID: trace1, Submitted: base,
+		Started: base.Add(2 * time.Second)})
+	st.Append(JobRecord{ID: "job-3", Client: "c1", Request: JobRequest{Experiment: "e5"}, State: StateFailed,
+		Submitted: base.Add(3 * time.Second), Started: base.Add(3 * time.Second), Finished: base.Add(4 * time.Second),
+		Error: "harness: e5 cancelled: \"boom\""})
+	st.Append(JobRecord{ID: "job-1", Client: "c1", Request: req1, State: StateDone, TraceID: trace1, Submitted: base,
+		Started: base.Add(2 * time.Second), Finished: base.Add(5*time.Second + 250*time.Millisecond),
+		Table: "| defense | flips |\n|---------|-------|\n| trr     | 3     |\n"})
+}
+
+// TestStoreGoldenBytes pins the job journal format: testdata/jobs.jsonl
+// holds the exact bytes the store wrote before it moved onto
+// internal/journal. Today's store must append the same bytes, replay
+// that file (last record per job wins) and compact it to exactly the
+// winning lines, in first-appearance order.
+func TestStoreGoldenBytes(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "jobs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := t.TempDir()
+	st := openTestStore(t, written)
+	writeGoldenJobs(st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(filepath.Join(written, storeJournal)); !bytes.Equal(got, golden) {
+		t.Fatalf("journal bytes changed:\n%s\nwant\n%s", got, golden)
+	}
+
+	// The expected compaction, derived from the golden lines themselves.
+	last := map[string][]byte{}
+	var order []string
+	for _, line := range bytes.SplitAfter(golden, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var rec JobRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if last[rec.ID] == nil {
+			order = append(order, rec.ID)
+		}
+		last[rec.ID] = line
+	}
+	var compacted []byte
+	for _, id := range order {
+		compacted = append(compacted, last[id]...)
+	}
+
+	loaded := t.TempDir()
+	if err := os.WriteFile(filepath.Join(loaded, storeJournal), golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st2 := openTestStore(t, loaded)
+	defer st2.Close()
+	recs := st2.Records()
+	if len(recs) != 3 || recs[0].ID != "job-1" || recs[1].ID != "job-2" || recs[2].ID != "job-3" {
+		t.Fatalf("replayed %+v, want job-1, job-2, job-3", recs)
+	}
+	if r := recs[0]; r.State != StateDone || r.Table == "" || r.TraceID == "" || r.Finished.IsZero() {
+		t.Fatalf("job-1 replayed as %+v, want its done snapshot", r)
+	}
+	if r := recs[1]; r.State != StateQueued || r.Restarts != 1 || time.Duration(r.Request.Timeout) != 30*time.Second {
+		t.Fatalf("job-2 replayed as %+v", r)
+	}
+	if r := recs[2]; r.State != StateFailed || r.Error == "" {
+		t.Fatalf("job-3 replayed as %+v", r)
+	}
+	if got, _ := os.ReadFile(filepath.Join(loaded, storeJournal)); !bytes.Equal(got, compacted) {
+		t.Fatalf("compacted journal:\n%s\nwant\n%s", got, compacted)
+	}
+}
+
+// TestStoreFailedCompactIsSticky: a compaction that cannot rewrite the
+// journal must leave the failure visible. The store used to close its
+// file before rewriting, so a failed rewrite left it with no file and
+// no error, and every later Append vanished silently.
+func TestStoreFailedCompactIsSticky(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	defer st.Close()
+	st.Append(JobRecord{ID: "job-1", State: StateDone})
+	// A directory where the temp file goes fails the rewrite, even as root.
+	if err := os.Mkdir(filepath.Join(dir, storeJournal+".tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact(); err == nil {
+		t.Fatal("compaction over a directory succeeded")
+	}
+	st.Append(JobRecord{ID: "job-2", State: StateQueued})
+	if st.Err() == nil {
+		t.Fatal("failed compaction left no sticky error: later appends are dropped silently")
+	}
+	if lines := journalLines(t, dir); len(lines) != 1 || lines[0].ID != "job-1" {
+		t.Fatalf("journal after failed compaction = %+v, want job-1 intact", lines)
+	}
+}
+
+// TestDurabilityErrorsVisible: a job whose checkpoint cannot be opened
+// still runs, but its view carries checkpoint_error and /metrics counts
+// it; a store whose journal failed shows it as a gauge.
+func TestDurabilityErrorsVisible(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	defer st.Close()
+	m := NewManager(Config{Sessions: 1, RatePerSec: -1, Store: st, Run: fakeRun(0)})
+	defer m.Drain(context.Background())
+	// job-1's checkpoint path is a directory (made after recovery, which
+	// sweeps checkpoint debris): opening it fails.
+	if err := os.Mkdir(st.CheckpointPath("job-1"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	metrics := func() (map[string]int64, map[string]float64) {
+		snap := m.Metrics()
+		counters, gauges := map[string]int64{}, map[string]float64{}
+		for _, c := range snap.Counters {
+			counters[c.Name] = c.Value
+		}
+		for _, g := range snap.Gauges {
+			gauges[g.Name] = g.Value
+		}
+		return counters, gauges
+	}
+
+	for _, id := range []string{"job-1", "job-2"} {
+		job, err := m.Submit("c1", JobRequest{Experiment: "e1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := waitTerminal(t, job)
+		if v.State != StateDone {
+			t.Fatalf("%s ended %s, want done", id, v.State)
+		}
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hasErr := bytes.Contains(body, []byte(`"checkpoint_error":`))
+		if want := id == "job-1"; hasErr != want || (v.CheckpointError != "") != want {
+			t.Fatalf("%s view %s: checkpoint_error present=%v, want %v", id, body, hasErr, want)
+		}
+	}
+	counters, gauges := metrics()
+	if counters["serve.jobs.checkpoint_errors"] != 1 {
+		t.Fatalf("checkpoint error counter = %d, want 1", counters["serve.jobs.checkpoint_errors"])
+	}
+	if g, ok := gauges["serve.store.error"]; !ok || g != 0 {
+		t.Fatalf("store error gauge = %v (present %v), want 0", g, ok)
+	}
+
+	if err := os.Mkdir(filepath.Join(dir, storeJournal+".tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact(); err == nil {
+		t.Fatal("compaction over a directory succeeded")
+	}
+	if _, gauges := metrics(); gauges["serve.store.error"] != 1 {
+		t.Fatalf("store error gauge = %v after a failed compaction, want 1", gauges["serve.store.error"])
 	}
 }
