@@ -1,6 +1,7 @@
 package addr
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -266,11 +267,23 @@ func TestRowsTouched(t *testing.T) {
 	}
 }
 
+// TestMapPanicsOutOfRange pins the range check every mapper keeps on
+// Map: the first line past the module, and any further one, panics with
+// the out-of-range message; the last line maps.
 func TestMapPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range line did not panic")
+	total := geom().TotalLines()
+	for _, m := range mappers(t) {
+		for _, line := range []uint64{total, total + 1, ^uint64(0)} {
+			func() {
+				defer func() {
+					want := fmt.Sprintf("addr: line %d out of range [0,%d)", line, total)
+					if r := recover(); r != want {
+						t.Errorf("%s: Map(%d) panicked with %v, want %q", m.Name(), line, r, want)
+					}
+				}()
+				m.Map(line)
+			}()
 		}
-	}()
-	NewLineInterleave(geom()).Map(geom().TotalLines())
+		m.Map(total - 1)
+	}
 }

@@ -38,11 +38,13 @@ type Mapper interface {
 	Unmap(d DDR) uint64
 }
 
-// checkLine panics if line is outside the module; mapping an address that
-// does not exist is a simulator bug, not a runtime condition.
-func checkLine(g dram.Geometry, line uint64) {
-	if line >= g.TotalLines() {
-		panic(fmt.Sprintf("addr: line %d out of range [0,%d)", line, g.TotalLines()))
+// checkLine panics if line is outside a module of total lines; mapping an
+// address that does not exist is a simulator bug, not a runtime
+// condition. Mappers pass the Geometry.TotalLines they cached at
+// construction, so the per-Map check is one compare.
+func checkLine(total, line uint64) {
+	if line >= total {
+		panic(fmt.Sprintf("addr: line %d out of range [0,%d)", line, total))
 	}
 }
 
@@ -61,11 +63,14 @@ func checkLine(g dram.Geometry, line uint64) {
 // is a pure function of its frame number and domains can be confined to
 // disjoint banks — at the cost of bank-level parallelism for streams.
 type RowRegion struct {
-	geom dram.Geometry
+	geom  dram.Geometry
+	total uint64 // geom.TotalLines()
 }
 
 // NewRowRegion returns a RowRegion mapper for g.
-func NewRowRegion(g dram.Geometry) *RowRegion { return &RowRegion{geom: g} }
+func NewRowRegion(g dram.Geometry) *RowRegion {
+	return &RowRegion{geom: g, total: g.TotalLines()}
+}
 
 // Name implements Mapper.
 func (m *RowRegion) Name() string { return "row-region" }
@@ -75,7 +80,7 @@ func (m *RowRegion) Geometry() dram.Geometry { return m.geom }
 
 // Map implements Mapper.
 func (m *RowRegion) Map(line uint64) DDR {
-	checkLine(m.geom, line)
+	checkLine(m.total, line)
 	c := uint64(m.geom.ColumnsPerRow)
 	r := uint64(m.geom.RowsPerBank())
 	return DDR{
@@ -104,11 +109,14 @@ func (m *RowRegion) Unmap(d DDR) uint64 {
 // banks, so physical frame number determines the row (and therefore the
 // subarray) — the property subarray-aware allocation relies on.
 type LineInterleave struct {
-	geom dram.Geometry
+	geom  dram.Geometry
+	total uint64 // geom.TotalLines()
 }
 
 // NewLineInterleave returns a LineInterleave mapper for g.
-func NewLineInterleave(g dram.Geometry) *LineInterleave { return &LineInterleave{geom: g} }
+func NewLineInterleave(g dram.Geometry) *LineInterleave {
+	return &LineInterleave{geom: g, total: g.TotalLines()}
+}
 
 // Name implements Mapper.
 func (m *LineInterleave) Name() string { return "line-interleave" }
@@ -118,7 +126,7 @@ func (m *LineInterleave) Geometry() dram.Geometry { return m.geom }
 
 // Map implements Mapper.
 func (m *LineInterleave) Map(line uint64) DDR {
-	checkLine(m.geom, line)
+	checkLine(m.total, line)
 	b := uint64(m.geom.Banks)
 	c := uint64(m.geom.ColumnsPerRow)
 	return DDR{
@@ -140,7 +148,8 @@ func (m *LineInterleave) Unmap(d DDR) uint64 {
 // strided traffic. Because XOR with the row is an involution at fixed row,
 // the scheme stays a bijection.
 type XORInterleave struct {
-	geom dram.Geometry
+	geom  dram.Geometry
+	total uint64 // geom.TotalLines()
 }
 
 // NewXORInterleave returns an XORInterleave mapper for g. The bank count
@@ -149,7 +158,7 @@ func NewXORInterleave(g dram.Geometry) (*XORInterleave, error) {
 	if g.Banks&(g.Banks-1) != 0 {
 		return nil, fmt.Errorf("addr: xor-interleave needs power-of-two banks, got %d", g.Banks)
 	}
-	return &XORInterleave{geom: g}, nil
+	return &XORInterleave{geom: g, total: g.TotalLines()}, nil
 }
 
 // Name implements Mapper.
@@ -160,7 +169,7 @@ func (m *XORInterleave) Geometry() dram.Geometry { return m.geom }
 
 // Map implements Mapper.
 func (m *XORInterleave) Map(line uint64) DDR {
-	checkLine(m.geom, line)
+	checkLine(m.total, line)
 	b := uint64(m.geom.Banks)
 	c := uint64(m.geom.ColumnsPerRow)
 	d := DDR{

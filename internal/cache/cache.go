@@ -66,6 +66,9 @@ type Cache struct {
 	cfg  Config
 	sets [][]way
 	tick uint64
+	// mask is Sets-1 when Sets is a power of two (setOf then masks
+	// instead of dividing), 0 otherwise.
+	mask uint64
 
 	hits, misses, flushes, writebacks uint64
 	lockedLines                       map[uint64]bool
@@ -85,6 +88,9 @@ func New(cfg Config) (*Cache, error) {
 	c := &Cache{cfg: cfg, sets: make([][]way, cfg.Sets), lockedLines: make(map[uint64]bool)}
 	for i := range c.sets {
 		c.sets[i] = make([]way, cfg.Ways)
+	}
+	if cfg.Sets&(cfg.Sets-1) == 0 {
+		c.mask = uint64(cfg.Sets - 1)
 	}
 	return c, nil
 }
@@ -108,7 +114,12 @@ func (c *Cache) nowCycle() uint64 {
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) setOf(line uint64) []way { return c.sets[line%uint64(c.cfg.Sets)] }
+func (c *Cache) setOf(line uint64) []way {
+	if c.mask != 0 {
+		return c.sets[line&c.mask]
+	}
+	return c.sets[line%uint64(c.cfg.Sets)]
+}
 
 // Access looks up line, updating LRU state; on miss it allocates, evicting
 // the LRU unlocked way. write marks the line dirty.

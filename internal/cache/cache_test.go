@@ -218,3 +218,49 @@ func TestContainsMatchesAccessHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSetSelectionMatchesModulo checks set indexing for power-of-two set
+// counts (masked) and others (modulo) alike against a per-set LRU
+// reference that places line in set line % Sets.
+func TestSetSelectionMatchesModulo(t *testing.T) {
+	const ways = 2
+	for _, sets := range []int{1, 2, 3, 4, 5, 6, 8, 12} {
+		f := func(pattern []uint16) bool {
+			c, err := New(Config{Sets: sets, Ways: ways})
+			if err != nil {
+				return false
+			}
+			history := make([][]uint64, sets) // per set, LRU first
+			for _, p := range pattern {
+				line := uint64(p % 64)
+				c.Access(line, false)
+				set := line % uint64(sets)
+				h := history[set]
+				for i, x := range h {
+					if x == line {
+						h = append(h[:i], h[i+1:]...)
+						break
+					}
+				}
+				h = append(h, line)
+				if len(h) > ways {
+					h = h[1:]
+				}
+				history[set] = h
+			}
+			for line := uint64(0); line < 64; line++ {
+				want := false
+				for _, x := range history[line%uint64(sets)] {
+					want = want || x == line
+				}
+				if c.Contains(line) != want {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatalf("sets=%d: %v", sets, err)
+		}
+	}
+}

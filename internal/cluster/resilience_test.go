@@ -530,7 +530,12 @@ func TestCachedPathAllocs(t *testing.T) {
 	// and results map, all predating the resilience layer. The bound
 	// leaves modest headroom yet sits below baseline+n, so any new
 	// per-cell cost (an eagerly allocated origin map entry, an audit
-	// draw, hedge bookkeeping) trips it.
+	// draw, hedge bookkeeping) trips it. The race detector's
+	// instrumentation allocates on its own (over 110 here), so the bound is
+	// enforced in non-race builds only; the path above still runs.
+	if raceEnabled {
+		t.Skipf("race build: %.0f allocs not held to the bound of 94", allocs)
+	}
 	if allocs > 94 {
 		t.Fatalf("cached-path RunGrid costs %.0f allocs for %d cells, want <= 94", allocs, n)
 	}

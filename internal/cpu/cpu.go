@@ -68,9 +68,13 @@ type Core struct {
 
 	counters PerfCounters
 
-	// samples is a PEBS-like ring of recent LLC-miss line addresses —
-	// what ANVIL-style defenses sample. Only CPU misses land here; DMA
-	// traffic is invisible to core PMUs.
+	// samples is a PEBS-like buffer of the core's LLC-miss line
+	// addresses, oldest first — what ANVIL-style defenses sample. Only
+	// CPU misses land here; DMA traffic is invisible to core PMUs.
+	// Samples reports the last sampleCap of them and drains the buffer.
+	// The buffer grows to 2*sampleCap before it is compacted to its
+	// newest sampleCap-1 entries, so the shift is paid once per
+	// sampleCap misses rather than on every miss.
 	samples   []uint64
 	sampleCap int
 	done      bool
@@ -88,10 +92,14 @@ func NewCore(id, domain int, prog Program, c *cache.Cache, mc *memctrl.Controlle
 		HitLatency: 20, FlushLatency: 40, sampleCap: 256}, nil
 }
 
-// Samples returns the recent LLC-miss line addresses captured by the
-// core's PEBS-like sampling buffer (most recent last) and clears it.
+// Samples returns the line addresses of the core's last sampleCap (256)
+// CPU-side LLC misses since the previous call, most recent last, and
+// drains the buffer. The caller owns the returned slice.
 func (c *Core) Samples() []uint64 {
 	out := c.samples
+	if n := len(out); n > c.sampleCap {
+		out = out[n-c.sampleCap:]
+	}
 	c.samples = nil
 	return out
 }
@@ -167,9 +175,8 @@ func (c *Core) access(acc Access, now uint64) (uint64, error) {
 		t += c.HitLatency
 	} else {
 		c.counters.LLCMisses++
-		if len(c.samples) >= c.sampleCap {
-			copy(c.samples, c.samples[1:])
-			c.samples = c.samples[:len(c.samples)-1]
+		if n := len(c.samples); n >= 2*c.sampleCap {
+			c.samples = c.samples[:copy(c.samples, c.samples[n-c.sampleCap+1:])]
 		}
 		c.samples = append(c.samples, acc.Line)
 		if cres.Writeback {

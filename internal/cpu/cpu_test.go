@@ -147,16 +147,20 @@ func TestCoreThinkTimeAdvancesClock(t *testing.T) {
 	}
 }
 
-func TestCoreSamplesCaptureMisses(t *testing.T) {
-	llc, mc := buildParts(t)
-	var accs []Access
-	for i := 0; i < 10; i++ {
-		accs = append(accs, Access{Line: uint64(i * 1000)})
+// missingAccesses returns n accesses to distinct lines starting at
+// first, each of which misses the LLC, and the lines they touch.
+func missingAccesses(first, n int) ([]Access, []uint64) {
+	lines := make([]uint64, n)
+	accs := make([]Access, n)
+	for i := range accs {
+		lines[i] = uint64((first + i) * 3)
+		accs[i] = Access{Line: lines[i]}
 	}
-	core, err := NewCore(0, 1, fixedProgram(accs), llc, mc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return accs, lines
+}
+
+func runToEnd(t *testing.T, core *Core) {
+	t.Helper()
 	now := uint64(0)
 	for {
 		next, ok, err := core.Step(now)
@@ -164,17 +168,87 @@ func TestCoreSamplesCaptureMisses(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !ok {
-			break
+			return
 		}
 		now = next
 	}
-	s := core.Samples()
-	if len(s) != 10 {
-		t.Fatalf("samples = %d, want 10", len(s))
+}
+
+func checkSamples(t *testing.T, got, lines []uint64) {
+	t.Helper()
+	want := lines
+	if len(want) > 256 {
+		want = want[len(want)-256:]
 	}
-	if got := core.Samples(); len(got) != 0 {
-		t.Fatal("Samples did not drain the ring")
+	if len(got) != len(want) {
+		t.Fatalf("samples = %d, want %d", len(got), len(want))
 	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sample %d = %d, want %d (last 256 misses, most recent last)", i, got[i], want[i])
+		}
+	}
+}
+
+// TestCoreSamplesCaptureMisses pins the sampling buffer's contract:
+// Samples returns exactly the last sampleCap (256) misses in order,
+// whatever the miss count relative to the buffer's 2*sampleCap
+// compaction point, and drains the buffer.
+func TestCoreSamplesCaptureMisses(t *testing.T) {
+	for _, n := range []int{0, 1, 10, 255, 256, 257, 511, 512, 513, 767, 768, 1000, 2*256 + 37} {
+		llc, mc := buildParts(t)
+		accs, lines := missingAccesses(0, n)
+		core, err := NewCore(0, 1, fixedProgram(accs), llc, mc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runToEnd(t, core)
+		if got := core.Counters().LLCMisses; got != uint64(n) {
+			t.Fatalf("n=%d: LLC misses = %d, want every access to miss", n, got)
+		}
+		checkSamples(t, core.Samples(), lines)
+		if got := core.Samples(); len(got) != 0 {
+			t.Fatalf("n=%d: Samples did not drain the buffer", n)
+		}
+	}
+}
+
+// TestCoreSamplesDrainThenRefill checks that a drained buffer reports
+// only the misses since the drain, and that the slice handed out by an
+// earlier drain is not overwritten by later misses.
+func TestCoreSamplesDrainThenRefill(t *testing.T) {
+	llc, mc := buildParts(t)
+	var pending []Access
+	core, err := NewCore(0, 1, ProgramFunc(func() (Access, bool) {
+		if len(pending) == 0 {
+			return Access{}, false
+		}
+		a := pending[0]
+		pending = pending[1:]
+		return a, true
+	}), llc, mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// missAndDrain runs n fresh misses on the same core and buffer (the
+	// program ends after each batch, so done is reset) and drains.
+	next := 0
+	missAndDrain := func(n int) ([]uint64, []uint64) {
+		var lines []uint64
+		pending, lines = missingAccesses(next, n)
+		next += n
+		core.done = false
+		runToEnd(t, core)
+		return core.Samples(), lines
+	}
+	s1, lines1 := missAndDrain(600)
+	kept := append([]uint64(nil), s1...)
+	checkSamples(t, s1, lines1)
+	s2, lines2 := missAndDrain(300)
+	checkSamples(t, s2, lines2)
+	s3, lines3 := missAndDrain(40)
+	checkSamples(t, s3, lines3)
+	checkSamples(t, s1, kept)
 }
 
 func TestCoreStepAfterDone(t *testing.T) {

@@ -79,6 +79,11 @@ type Module struct {
 	disturb []float64
 	acts    []uint64
 	rows    int // cached Geometry.RowsPerBank()
+	// blast[d-1] is prof.DisturbanceAt(d), precomputed so the ACT path
+	// does no per-victim decay arithmetic. It stops at the smaller of
+	// BlastRadius and RowsPerSubarray-1: no row further away than that
+	// shares the aggressor's subarray.
+	blast []float64
 
 	trr *trrEngine
 
@@ -174,6 +179,10 @@ func NewModule(cfg Config) (*Module, error) {
 	m.flipCtr = m.stats.CounterRef("dram.flips")
 	m.actsPerRow = m.stats.NewHistogram("dram.acts_per_row", sim.ExpBuckets(1, 2, 17))
 	m.rows = cfg.Geometry.RowsPerBank()
+	m.blast = make([]float64, min(cfg.Profile.BlastRadius, cfg.Geometry.RowsPerSubarray-1))
+	for i := range m.blast {
+		m.blast[i] = cfg.Profile.DisturbanceAt(i + 1)
+	}
 	m.open = make([]int, cfg.Geometry.Banks)
 	for i := range m.open {
 		m.open[i] = -1
@@ -245,17 +254,7 @@ func (m *Module) Activate(bankIdx, row int, cycle uint64, actorDomain int) ([]Fl
 	// An ACT recharges the activated row as a side effect (§2.1).
 	m.disturb[idx] = 0
 
-	var flips []FlipEvent
-	sub := m.geom.SubarrayOf(row)
-	for dist := 1; dist <= m.prof.BlastRadius; dist++ {
-		amount := m.prof.DisturbanceAt(dist)
-		for _, victim := range [2]int{row - dist, row + dist} {
-			if !m.geom.ValidRow(victim) || m.geom.SubarrayOf(victim) != sub {
-				continue // subarrays are electromagnetically isolated
-			}
-			flips = append(flips, m.disturbRow(bankIdx, victim, row, amount, cycle, actorDomain)...)
-		}
-	}
+	flips := m.disturbNeighbors(bankIdx, row, cycle, actorDomain)
 	if m.trr != nil {
 		m.trr.onActivate(bankIdx, row)
 	}
@@ -282,19 +281,32 @@ func (m *Module) activateInternal(bankIdx, row int, cycle uint64) ([]FlipEvent, 
 	m.lastCycle = cycle
 	m.rec.Emit(obs.Event{Kind: obs.KindACT, Cycle: cycle, Bank: bankIdx, Row: row, Domain: -1})
 	m.disturb[bankIdx*m.rows+row] = 0
-	var flips []FlipEvent
-	sub := m.geom.SubarrayOf(row)
-	for dist := 1; dist <= m.prof.BlastRadius; dist++ {
-		amount := m.prof.DisturbanceAt(dist)
-		for _, victim := range [2]int{row - dist, row + dist} {
-			if !m.geom.ValidRow(victim) || m.geom.SubarrayOf(victim) != sub {
-				continue
-			}
-			flips = append(flips, m.disturbRow(bankIdx, victim, row, amount, cycle, -1)...)
-		}
-	}
+	flips := m.disturbNeighbors(bankIdx, row, cycle, -1)
 	m.Precharge(bankIdx, cycle)
 	return flips, nil
+}
+
+// disturbNeighbors applies one ACT of the (validated) aggressor row to
+// every victim within the blast radius, nearest first and, at each
+// distance, the lower row before the upper — the order the flip RNG draws
+// depend on. Victims must share the aggressor's subarray (subarrays are
+// electromagnetically isolated); a subarray never crosses a bank, so that
+// is the half-open row range [lo, hi) and needs no separate ValidRow.
+func (m *Module) disturbNeighbors(bankIdx, row int, cycle uint64, actorDomain int) []FlipEvent {
+	lo := row - row%m.geom.RowsPerSubarray
+	hi := lo + m.geom.RowsPerSubarray
+	var flips []FlipEvent
+	for i, amount := range m.blast {
+		dist := i + 1
+		below, above := row-dist, row+dist
+		if below >= lo {
+			flips = append(flips, m.disturbRow(bankIdx, below, row, amount, cycle, actorDomain)...)
+		}
+		if above < hi {
+			flips = append(flips, m.disturbRow(bankIdx, above, row, amount, cycle, actorDomain)...)
+		}
+	}
+	return flips
 }
 
 // disturbRow adds disturbance to one victim row and generates flips for

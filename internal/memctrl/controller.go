@@ -102,6 +102,15 @@ type Controller struct {
 	interACT *sim.Histogram
 	service  *sim.Histogram
 	refCtr   *int64
+
+	// Per-request and per-ACT counter handles, bound by count on first
+	// increment rather than here: a counter that never fires must stay
+	// absent from the registry, so CounterNames, Snapshot and the
+	// -metrics-out bytes are the same as with string-keyed Inc calls.
+	requestsCtr, rowHitsCtr, rowEmptyCtr, rowConflictsCtr *int64
+	writesCtr, dmaCtr, actsCtr, violationsCtr             *int64
+	throttleCyclesCtr, throttledCtr                       *int64
+	paraCtr, grapheneCtr                                  *int64
 }
 
 // NewController validates cfg and builds a controller.
@@ -150,6 +159,15 @@ func NewController(cfg Config) (*Controller, error) {
 	c.service = c.stats.NewHistogram("mc.service_cycles", sim.ExpBuckets(8, 2, 16))
 	c.refCtr = c.stats.CounterRef("mc.ref")
 	return c, nil
+}
+
+// count adds delta to the named counter through its handle *ref,
+// binding the handle on first use.
+func (c *Controller) count(ref **int64, name string, delta int64) {
+	if *ref == nil {
+		*ref = c.stats.CounterRef(name)
+	}
+	**ref += delta
 }
 
 // SetRecorder attaches an event recorder (nil disables recording). The
@@ -343,7 +361,7 @@ func (c *Controller) ServeRequest(req Request, arrival uint64) (ServiceResult, e
 	if c.enforcer != nil {
 		res.Violation = !c.enforcer.Check(req.Domain, d.Row)
 		if res.Violation {
-			c.stats.Inc("mc.domain_violations")
+			c.count(&c.violationsCtr, "mc.domain_violations", 1)
 		}
 	}
 
@@ -351,8 +369,8 @@ func (c *Controller) ServeRequest(req Request, arrival uint64) (ServiceResult, e
 	if c.admission != nil {
 		delay := c.admission.Admit(req, d.Bank, d.Row, c.dram.OpenRow(d.Bank) != d.Row, arrival)
 		if delay > 0 {
-			c.stats.Add("mc.throttle_cycles", int64(delay))
-			c.stats.Inc("mc.throttled")
+			c.count(&c.throttleCyclesCtr, "mc.throttle_cycles", int64(delay))
+			c.count(&c.throttledCtr, "mc.throttled", 1)
 			res.ThrottleDelay = delay
 			start += delay
 		}
@@ -373,15 +391,15 @@ func (c *Controller) ServeRequest(req Request, arrival uint64) (ServiceResult, e
 	case !wouldAct:
 		lat = c.timing.RowHitLatency()
 		res.RowHit = true
-		c.stats.Inc("mc.row_hits")
+		c.count(&c.rowHitsCtr, "mc.row_hits", 1)
 		c.rec.Emit(obs.Event{Kind: obs.KindRowHit, Cycle: start, Bank: d.Bank, Row: d.Row, Domain: req.Domain})
 	case open < 0:
 		lat = c.timing.RowEmptyLatency()
-		c.stats.Inc("mc.row_empty")
+		c.count(&c.rowEmptyCtr, "mc.row_empty", 1)
 		c.rec.Emit(obs.Event{Kind: obs.KindRowEmpty, Cycle: start, Bank: d.Bank, Row: d.Row, Domain: req.Domain})
 	default:
 		lat = c.timing.RowMissLatency()
-		c.stats.Inc("mc.row_conflicts")
+		c.count(&c.rowConflictsCtr, "mc.row_conflicts", 1)
 		c.rec.Emit(obs.Event{Kind: obs.KindRowConflict, Cycle: start, Bank: d.Bank, Row: d.Row, Domain: req.Domain})
 	}
 
@@ -428,12 +446,12 @@ func (c *Controller) ServeRequest(req Request, arrival uint64) (ServiceResult, e
 	res.Start = start
 	res.Completion = completion
 	c.service.Observe(float64(completion - arrival))
-	c.stats.Inc("mc.requests")
+	c.count(&c.requestsCtr, "mc.requests", 1)
 	if req.Write {
-		c.stats.Inc("mc.writes")
+		c.count(&c.writesCtr, "mc.writes", 1)
 	}
 	if req.Source.Kind == SourceDMA {
-		c.stats.Inc("mc.dma_requests")
+		c.count(&c.dmaCtr, "mc.dma_requests", 1)
 	}
 	return res, nil
 }
@@ -448,7 +466,7 @@ func (c *Controller) activate(bank, row int, start uint64, req Request) error {
 		c.interACT.Observe(float64(start - (last - 1)))
 	}
 	c.lastACT[bank] = start + 1
-	c.stats.Inc("mc.acts")
+	c.count(&c.actsCtr, "mc.acts", 1)
 
 	c.counter.onACT(ACTEvent{
 		Cycle:   start,
@@ -471,7 +489,7 @@ func (c *Controller) activate(bank, row int, start uint64, req Request) error {
 			if err := c.dram.RefreshRow(bank, victim); err != nil {
 				return err
 			}
-			c.stats.Inc("mc.para_refreshes")
+			c.count(&c.paraCtr, "mc.para_refreshes", 1)
 			c.bankReady[bank] += c.timing.TRC // refresh occupies the bank
 		}
 	}
@@ -483,7 +501,7 @@ func (c *Controller) activate(bank, row int, start uint64, req Request) error {
 			if err := c.dram.RefreshNeighbors(bank, hot, radius, start); err != nil {
 				return err
 			}
-			c.stats.Inc("mc.graphene_refreshes")
+			c.count(&c.grapheneCtr, "mc.graphene_refreshes", 1)
 			c.bankReady[bank] += c.timing.TRC * uint64(2*radius)
 		}
 	}

@@ -565,3 +565,67 @@ func TestActCounterNilHandlerStillCountsOverflows(t *testing.T) {
 		t.Fatalf("ACTOverflows = %d, want 4", got)
 	}
 }
+
+// TestCountersCreatedOnFirstIncrement pins the lazy binding of the
+// controller's counter handles: a counter that never fired is absent
+// from CounterNames (and so from snapshots and metrics dumps), exactly
+// as with string-keyed increments, and appears once it fires.
+func TestCountersCreatedOnFirstIncrement(t *testing.T) {
+	c, mod := build(t, nil)
+	g := mod.Geometry()
+	// Open the row behind the DRAM's back, so the controller's stream is
+	// row hits only and it never issues an ACT itself.
+	if _, err := mod.Activate(0, 0, 0, -1); err != nil {
+		t.Fatal(err)
+	}
+	now := uint64(0)
+	for i := 0; i < 50; i++ {
+		res, err := c.ServeRequest(Request{Line: uint64(i * g.Banks)}, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.RowHit {
+			t.Fatalf("request %d was not a row hit", i)
+		}
+		now = res.Completion
+	}
+	has := func(name string) bool {
+		for _, n := range c.Stats().CounterNames() {
+			if n == name {
+				return true
+			}
+		}
+		return false
+	}
+	for _, name := range []string{"mc.row_conflicts", "mc.row_empty", "mc.acts", "mc.writes",
+		"mc.dma_requests", "mc.domain_violations", "mc.throttled", "mc.throttle_cycles",
+		"mc.para_refreshes", "mc.graphene_refreshes"} {
+		if has(name) {
+			t.Errorf("counter %s exists after a row-hit-only stream: %v", name, c.Stats().CounterNames())
+		}
+	}
+	if got := c.Stats().Counter("mc.requests"); got != 50 {
+		t.Errorf("mc.requests = %d, want 50", got)
+	}
+	if got := c.Stats().Counter("mc.row_hits"); got != 50 {
+		t.Errorf("mc.row_hits = %d, want 50", got)
+	}
+
+	// A conflicting write, then a DMA read of another bank, bind the
+	// conflict, empty, ACT, write and DMA handles to the same registry,
+	// each under its own name.
+	stripe := uint64(g.Banks * g.ColumnsPerRow)
+	res, err := c.ServeRequest(Request{Line: stripe, Write: true}, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ServeRequest(Request{Line: 1, Source: Source{Kind: SourceDMA}}, res.Completion); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int64{"mc.row_conflicts": 1, "mc.row_empty": 1, "mc.acts": 2,
+		"mc.writes": 1, "mc.dma_requests": 1, "mc.requests": 52, "mc.row_hits": 50} {
+		if got := c.Stats().Counter(name); got != want {
+			t.Errorf("%s = %d after a conflicting write and a DMA read, want %d", name, got, want)
+		}
+	}
+}
